@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet staticcheck test race check par-smoke portfolio-smoke daemon-smoke latency-smoke query-smoke attr-smoke bench-smoke bench-diff trace-smoke tracestat-smoke fuzz clean
+.PHONY: all build vet staticcheck test race check perfbench-check par-smoke portfolio-smoke daemon-smoke latency-smoke query-smoke attr-smoke bench-smoke bench-diff trace-smoke tracestat-smoke fuzz clean
 
 all: check
 
@@ -30,7 +30,15 @@ race:
 # test suite under the race detector (which subsumes plain `go test`), a
 # smoke run of the evaluator benchmarks with a regression diff against the
 # committed report, and trace emission + analysis smoke runs.
-check: vet staticcheck build race par-smoke portfolio-smoke daemon-smoke latency-smoke query-smoke attr-smoke bench-smoke bench-diff trace-smoke tracestat-smoke
+check: vet staticcheck build race perfbench-check par-smoke portfolio-smoke daemon-smoke latency-smoke query-smoke attr-smoke bench-smoke bench-diff trace-smoke tracestat-smoke
+
+# perfbench-check keeps the socket-level benchmark module building: it is a
+# separate Go module (perfbench/go.mod, replacing hypertree with ../) that
+# imports hypergraph, core and server, so `go build ./...` at the root never
+# compiles it. Vet plus its self-tests (stream shapes, oracles, metrics);
+# no measured run.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # par-smoke is the quick parallel-correctness gate: one mid-size instance
 # through parallel BB-ghw and one through parallel det-k-decomp, Workers=4,
@@ -119,11 +127,13 @@ tracestat-smoke: trace-smoke
 	$(GO) run ./cmd/tracestat summary trace.smoke.jsonl
 	rm -f trace.smoke.jsonl
 
-# fuzz runs each parser fuzzer briefly; extend -fuzztime for real campaigns.
+# fuzz runs each parser fuzzer and the GYO differential fuzzer briefly;
+# extend -fuzztime for real campaigns.
 fuzz:
-	$(GO) test -run=^$$ -fuzz=FuzzParseHG     -fuzztime=30s ./internal/hypergraph/
-	$(GO) test -run=^$$ -fuzz=FuzzParseDIMACS -fuzztime=30s ./internal/hypergraph/
-	$(GO) test -run=^$$ -fuzz=FuzzParseGr     -fuzztime=30s ./internal/hypergraph/
+	$(GO) test -run=^$$ -fuzz=FuzzParseHG       -fuzztime=30s ./internal/hypergraph/
+	$(GO) test -run=^$$ -fuzz=FuzzParseDIMACS   -fuzztime=30s ./internal/hypergraph/
+	$(GO) test -run=^$$ -fuzz=FuzzParseGr       -fuzztime=30s ./internal/hypergraph/
+	$(GO) test -run=^$$ -fuzz=FuzzBuildJoinTree -fuzztime=30s ./internal/hypergraph/
 
 clean:
 	$(GO) clean ./...

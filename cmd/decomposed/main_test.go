@@ -167,6 +167,45 @@ func TestDaemonSmoke(t *testing.T) {
 	}
 }
 
+// TestDaemonSigtermRightAfterReady pins the readiness/signal ordering: a
+// supervisor that sends SIGTERM the moment /readyz first answers 200 must
+// get a graceful drain (exit 0 and the drain report), never a process killed
+// by the default signal disposition. Every other run signals even earlier,
+// right after the port announcement, which is the first moment a
+// supervisor can know the process exists; the handler must already be
+// installed then. Repeated because the window it guards is a scheduling
+// race.
+func TestDaemonSigtermRightAfterReady(t *testing.T) {
+	bin := buildDaemon(t)
+	client := &http.Client{Timeout: time.Second}
+	for i := 0; i < 20; i++ {
+		d := startDaemon(t, bin, "-drain-grace", "2s")
+		deadline := time.Now().Add(10 * time.Second)
+		for i%2 == 1 {
+			hr, err := client.Get(d.url + "/readyz")
+			if err == nil {
+				hr.Body.Close()
+				if hr.StatusCode == 200 {
+					break
+				}
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("run %d: /readyz never answered 200: %v", i, err)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		if code := d.wait(t); code != 0 {
+			t.Fatalf("run %d: SIGTERM right after readiness exited %d, want 0\nstdout tail:\n%s", i, code, d.tail.String())
+		}
+		if !strings.Contains(d.tail.String(), "drained in") {
+			t.Fatalf("run %d: no drain report in stdout:\n%s", i, d.tail.String())
+		}
+	}
+}
+
 // TestDaemonSmokeDrainInFlight proves the zero-dropped contract across the
 // process boundary: a long run is in flight when SIGTERM lands, the grace is
 // too short for it to finish, and the client still gets a typed degraded
@@ -326,11 +365,32 @@ func TestAttributionSmoke(t *testing.T) {
 		}
 	}
 	total, _ := led["total_nodes"].(float64)
-	if sum != total || total != resp["nodes"] {
+	// The envelope omits a zero node count: a race the greedy member wins
+	// before any search node is ticked is a legitimate zero.
+	envNodes, _ := resp["nodes"].(float64)
+	if sum != total || total != envNodes {
 		t.Fatalf("ledger unbalanced: member sum %v, total_nodes %v, envelope nodes %v", sum, total, resp["nodes"])
 	}
 	if winner == "" || winnerRole != "winner" {
 		t.Fatalf("ledger winner %q has role %q, want a winner-role member row", winner, winnerRole)
+	}
+
+	// An α-acyclic input never starts the race: the fast path answers it
+	// with width 1 and its own one-member ledger.
+	status, aresp := d.post(t, "algo=portfolio", []byte("c1(a,b,c), c2(c,d)."))
+	if status != 200 {
+		t.Fatalf("acyclic request: status %d, %v", status, aresp)
+	}
+	if aresp["width"] != 1.0 || aresp["exact"] != true {
+		t.Fatalf("acyclic fast path: width %v exact %v, want 1 exact", aresp["width"], aresp["exact"])
+	}
+	aled, _ := aresp["attribution"].(map[string]any)
+	arows, _ := aled["members"].([]any)
+	if aled["portfolio"] != false || aled["winner"] != "acyclic" || len(arows) != 1 {
+		t.Fatalf("acyclic fast path ledger: %v", aled)
+	}
+	if row := arows[0].(map[string]any); row["algo"] != "acyclic" || row["role"] != "winner" {
+		t.Fatalf("acyclic fast path member row: %v", row)
 	}
 
 	hr, err := http.Get(d.url + "/metrics")
@@ -341,6 +401,7 @@ func TestAttributionSmoke(t *testing.T) {
 	hr.Body.Close()
 	for _, want := range []string{
 		`hypertree_portfolio_member_wins_total{algo="` + winner + `"} 1`,
+		`hypertree_portfolio_member_wins_total{algo="acyclic"} 1`,
 		"# TYPE hypertree_portfolio_member_nodes_total counter",
 		"# TYPE hypertree_portfolio_member_node_share gauge",
 	} {
@@ -373,7 +434,7 @@ func TestAttributionSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatalf("tracestat attr: %v\n%s", err, out)
 	}
-	for _, want := range []string{"attribution: 1 runs", "algo", "share", winner} {
+	for _, want := range []string{"attribution: 2 runs", "algo", "share", winner, "acyclic"} {
 		if !strings.Contains(string(out), want) {
 			t.Errorf("tracestat attr missing %q:\n%s", want, out)
 		}

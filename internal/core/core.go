@@ -60,7 +60,9 @@ const (
 	// publishing each improvement through a cross-solver incumbent so every
 	// member prunes against the best width any of them has found. It returns
 	// as soon as some member's width is proven optimal, or the best validated
-	// anytime width at the deadline.
+	// anytime width at the deadline. An α-acyclic input skips the race: its
+	// GYO join tree is returned at once as an exact width-1 GHD (see
+	// decomposeAcyclic).
 	AlgPortfolio Algorithm = "portfolio"
 )
 
@@ -232,7 +234,7 @@ func Decompose(h *hypergraph.Hypergraph, opts Options) (*Decomposition, error) {
 	// The degenerate one-member ledger of a serial run: same shape as a
 	// portfolio ledger so every consumer (envelope, metrics, tracestat) has
 	// one code path, with the sole member as the trivial winner.
-	d.Ledger = serialLedger(string(opts.Algorithm), d, b)
+	d.Ledger = serialLedger(string(opts.Algorithm), d, b.Nodes())
 	for _, ev := range d.Ledger.Events(b.Elapsed()) {
 		recordPost(d, opts, ev)
 	}
@@ -240,14 +242,14 @@ func Decompose(h *hypergraph.Hypergraph, opts Options) (*Decomposition, error) {
 }
 
 // serialLedger builds the one-member attribution ledger of a non-portfolio
-// run. The costs are the run's own totals (one member did everything, so
-// conservation is trivial); the claims are the run's anytime timeline,
-// deduplicated to strict improvements.
-func serialLedger(algo string, d *Decomposition, b *budget.B) *attr.Ledger {
+// run that ticked nodes work units. The costs are the run's own totals (one
+// member did everything, so conservation is trivial); the claims are the
+// run's anytime timeline, deduplicated to strict improvements.
+func serialLedger(algo string, d *Decomposition, nodes int64) *attr.Ledger {
 	m := attr.Member{
 		Algo:       algo,
 		Role:       attr.RoleWinner,
-		Nodes:      b.Nodes(),
+		Nodes:      nodes,
 		CPU:        d.Elapsed,
 		BestWidth:  d.Width,
 		LowerBound: d.LowerBound,
@@ -265,7 +267,7 @@ func serialLedger(algo string, d *Decomposition, b *budget.B) *attr.Ledger {
 	}
 	return &attr.Ledger{
 		Winner:     algo,
-		TotalNodes: b.Nodes(),
+		TotalNodes: nodes,
 		Members:    []attr.Member{m},
 	}
 }

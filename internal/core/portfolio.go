@@ -13,7 +13,9 @@
 // portfolio also tracks the best proven ghw lower bound (the upfront
 // tw-ksc-width bound plus every lb-sound member's lower_bound events); the
 // moment the incumbent meets it, the result is proven optimal and the losing
-// members are aborted via budget.StopPortfolioWin.
+// members are aborted via budget.StopPortfolioWin. Before any of that, an
+// α-acyclic input is answered by the width-1 fast path (acyclic.go) and the
+// race never starts.
 //
 // Observability: each member runs under its own `algo` label (stamped on
 // every event, so a request's trace interleaves cleanly — ValidateTrace
@@ -211,6 +213,17 @@ func decomposePortfolio(h *hypergraph.Hypergraph, opts Options) (*Decomposition,
 			return nil, fmt.Errorf("core: duplicate portfolio member %s", a)
 		}
 		seen[a] = true
+	}
+
+	// ghw = 1 exactly on α-acyclic inputs, and the GYO reduction proves it
+	// in near-linear time: no race can beat a join tree. The fast path runs
+	// before any budget exists, so it is guarded on its own (a nil budget).
+	var fast *Decomposition
+	if err := budget.Guard(nil, func() (err error) {
+		fast, err = decomposeAcyclic(h, opts)
+		return err
+	}); fast != nil || err != nil {
+		return fast, err
 	}
 
 	b := budget.New(opts.Ctx, budget.Limits{

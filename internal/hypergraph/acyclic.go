@@ -1,7 +1,5 @@
 package hypergraph
 
-import "sort"
-
 // JoinTree is a join tree of a hypergraph: one node per hyperedge, with tree
 // edges between nodes, satisfying the connectedness condition (for every
 // vertex, the hyperedges containing it induce a subtree).
@@ -35,108 +33,118 @@ func IsAcyclic(h *Hypergraph) bool {
 // BuildJoinTree attempts to build a join tree via GYO reduction. It returns
 // (tree, true) when the hypergraph is α-acyclic and (nil, false) otherwise.
 //
-// During the reduction, when edge e becomes a subset of a live edge f, e is
-// removed and attached as a child of f; the last surviving edge becomes the
-// root. The connectedness condition holds by construction: an ear's private
-// vertices occur nowhere else, and its shared vertices are all in its parent.
+// The reduction never materializes the shrinking edges. A vertex is shared
+// while at least two live edges contain it; edge e is an ear when another
+// live edge f contains all of e's shared vertices, and then e is removed and
+// attached as a child of f. The connectedness condition holds by
+// construction: an ear's private vertices occur in no other live edge, and
+// its shared vertices are all in its parent. An ear with no shared vertex
+// (the last edge of a connected component) is hung under the final root,
+// which shares none of its vertices.
+//
+// Two facts keep the reduction near-linear. Any f that contains e's shared
+// vertices contains the rarest of them, so only that vertex's incident edges
+// are candidates. And an edge that is not an ear becomes one only when one
+// of its vertices turns private, so an edge is re-examined only when a
+// removal leaves it the last live holder of some vertex.
 func BuildJoinTree(h *Hypergraph) (*JoinTree, bool) {
 	m := h.M()
 	if m == 0 {
 		return &JoinTree{Parent: nil, Root: -1}, true
 	}
-	// Live copies of edges as sets.
-	edges := make([]map[int]struct{}, m)
-	for i := 0; i < m; i++ {
-		s := make(map[int]struct{}, len(h.Edge(i)))
-		for _, v := range h.Edge(i) {
-			s[v] = struct{}{}
-		}
-		edges[i] = s
-	}
-	// occ[v] = number of live edges containing v.
-	occ := make(map[int]int)
-	for _, s := range edges {
-		for v := range s {
-			occ[v]++
-		}
-	}
-	alive := make([]bool, m)
-	for i := range alive {
-		alive[i] = true
-	}
 	parent := make([]int, m)
 	for i := range parent {
 		parent[i] = -1
 	}
-	liveCount := m
-
-	for {
-		changed := false
-		// Remove vertices occurring in exactly one live edge.
-		for i := 0; i < m; i++ {
-			if !alive[i] {
-				continue
-			}
-			for v := range edges[i] {
-				if occ[v] == 1 {
-					delete(edges[i], v)
-					delete(occ, v)
-					changed = true
+	n := h.N()
+	// cnt[v] is the number of live edges containing v; mark[v] == stamp
+	// flags v as a shared vertex of the edge under examination.
+	cnt := make([]int32, n)
+	mark := make([]int32, n)
+	for v := 0; v < n; v++ {
+		cnt[v] = int32(len(h.IncidentEdges(v)))
+	}
+	dead := make([]bool, m)
+	queued := make([]bool, m)
+	queue := make([]int32, m)
+	for i := range queue {
+		queue[i] = int32(i)
+		queued[i] = true
+	}
+	live := m
+	stamp := int32(0)
+	for len(queue) > 0 && live > 1 {
+		e := int(queue[0])
+		queue = queue[1:]
+		queued[e] = false
+		if dead[e] {
+			continue
+		}
+		// Mark e's shared vertices and pick the rarest as the pivot.
+		stamp++
+		shared, pivot := 0, -1
+		for _, v := range h.edges[e] {
+			if cnt[v] >= 2 {
+				mark[v] = stamp
+				shared++
+				if pivot < 0 || cnt[v] < cnt[pivot] {
+					pivot = v
 				}
 			}
 		}
-		// Remove edges contained in another live edge (ears).
-		for i := 0; i < m && liveCount > 1; i++ {
-			if !alive[i] {
-				continue
-			}
-			for j := 0; j < m; j++ {
-				if i == j || !alive[j] {
+		f := -1
+		if pivot >= 0 {
+			for _, c := range h.IncidentEdges(pivot) {
+				if c == e || dead[c] || len(h.edges[c]) < shared {
 					continue
 				}
-				if subsetOf(edges[i], edges[j]) {
-					// Prefer attaching to the original (un-reduced) containing
-					// edge for a cleaner tree; j works because reduction only
-					// shrinks sets.
-					alive[i] = false
-					parent[i] = j
-					for v := range edges[i] {
-						occ[v]--
+				hit := 0
+				for _, v := range h.edges[c] {
+					if mark[v] == stamp {
+						hit++
 					}
-					liveCount--
-					changed = true
+				}
+				if hit == shared {
+					f = c
+					break
+				}
+			}
+			if f < 0 {
+				continue // not an ear (yet)
+			}
+		}
+		dead[e] = true
+		live--
+		parent[e] = f // -1 for a shared-vertex-free ear, fixed below
+		for _, v := range h.edges[e] {
+			if cnt[v]--; cnt[v] != 1 {
+				continue
+			}
+			// v just turned private: its last live holder may now be an ear.
+			for _, c := range h.IncidentEdges(v) {
+				if !dead[c] {
+					if !queued[c] {
+						queued[c] = true
+						queue = append(queue, int32(c))
+					}
 					break
 				}
 			}
 		}
-		if liveCount == 1 {
-			root := -1
-			for i := 0; i < m; i++ {
-				if alive[i] {
-					root = i
-				}
-			}
-			// Path-compress parents onto live ancestry: parents recorded
-			// during reduction always point to edges alive at that moment,
-			// which may die later; walk up to the final structure.
-			return &JoinTree{Parent: parent, Root: root}, true
-		}
-		if !changed {
-			return nil, false
+	}
+	if live > 1 {
+		return nil, false
+	}
+	root := 0
+	for dead[root] {
+		root++
+	}
+	for e, p := range parent {
+		if p < 0 && e != root {
+			parent[e] = root
 		}
 	}
-}
-
-func subsetOf(a, b map[int]struct{}) bool {
-	if len(a) > len(b) {
-		return false
-	}
-	for v := range a {
-		if _, ok := b[v]; !ok {
-			return false
-		}
-	}
-	return true
+	return &JoinTree{Parent: parent, Root: root}, true
 }
 
 // VerifyJoinTree checks that t is a valid join tree for h: it is a tree over
@@ -191,21 +199,4 @@ func VerifyJoinTree(h *Hypergraph, t *JoinTree) bool {
 		}
 	}
 	return true
-}
-
-// SortedVertices returns the union of all hyperedge vertex sets in ascending
-// order.
-func SortedVertices(sets ...[]int) []int {
-	seen := make(map[int]struct{})
-	for _, s := range sets {
-		for _, v := range s {
-			seen[v] = struct{}{}
-		}
-	}
-	out := make([]int, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
 }

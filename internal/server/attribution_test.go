@@ -14,8 +14,10 @@ import (
 
 // TestEnvelopeAttribution checks the per-member resource ledger on the
 // response envelope: serial runs carry the degenerate one-member ledger,
-// portfolio runs one row per racer, both balancing under Conserved, and
-// cache hits carry none (a hit spends no solver work).
+// portfolio races one row per racer, both balancing under Conserved, and
+// cache hits carry none (a hit spends no solver work). The race runs on a
+// cyclic input; an α-acyclic one never starts a race and comes back with
+// the one-member ledger of the acyclic fast path.
 func TestEnvelopeAttribution(t *testing.T) {
 	s := New(Config{})
 	ts := httptest.NewServer(s)
@@ -47,7 +49,10 @@ func TestEnvelopeAttribution(t *testing.T) {
 		t.Fatal("cache hit carries an attribution ledger; it did no solver work")
 	}
 
-	_, pr := postDecompose(t, ts, "algo=portfolio", []byte(acyclic4HG))
+	_, pr := postDecompose(t, ts, "algo=portfolio", []byte(cycle6HG))
+	if pr.Cached {
+		t.Fatal("portfolio request was served from the bb-ghw cache entry")
+	}
 	pled := pr.Attribution
 	if pled == nil {
 		t.Fatal("portfolio response has no attribution ledger")
@@ -62,9 +67,27 @@ func TestEnvelopeAttribution(t *testing.T) {
 		t.Fatalf("portfolio winner %q has no member row", pled.Winner)
 	}
 
-	// The cumulative /metrics families reflect the two solved runs: bb-ghw
-	// won its serial run, the portfolio winner won the race, and the share
-	// gauge family is announced.
+	_, ar := postDecompose(t, ts, "algo=portfolio", []byte(acyclic4HG))
+	aled := ar.Attribution
+	if ar.Width != 1 || ar.LowerBound != 1 || !ar.Exact {
+		t.Fatalf("acyclic fast path: width %d lb %d exact %v, want 1/1/true", ar.Width, ar.LowerBound, ar.Exact)
+	}
+	if aled == nil || aled.Portfolio || len(aled.Members) != 1 {
+		t.Fatalf("acyclic fast path ledger shape: %+v", aled)
+	}
+	if aled.Winner != "acyclic" || aled.Members[0].Algo != "acyclic" || aled.Members[0].Role != attr.RoleWinner {
+		t.Fatalf("acyclic fast path ledger winner %q row %+v", aled.Winner, aled.Members[0])
+	}
+	if aled.TotalNodes != 0 || ar.Nodes != 0 {
+		t.Fatalf("acyclic fast path spent %d/%d search nodes, want none", aled.TotalNodes, ar.Nodes)
+	}
+	if err := aled.Conserved(); err != nil {
+		t.Fatalf("acyclic fast path ledger unbalanced: %v", err)
+	}
+
+	// The cumulative /metrics families reflect the three solved runs: bb-ghw
+	// won its serial run, the portfolio winner won the race, the fast path
+	// won the acyclic request, and the share gauge family is announced.
 	hr, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -78,6 +101,7 @@ func TestEnvelopeAttribution(t *testing.T) {
 	for _, want := range []string{
 		`hypertree_portfolio_member_wins_total{algo="bb-ghw"} 1`,
 		`hypertree_portfolio_member_wins_total{algo="` + pled.Winner + `"}`,
+		`hypertree_portfolio_member_wins_total{algo="acyclic"} 1`,
 		"# TYPE hypertree_portfolio_member_nodes_total counter",
 		"# TYPE hypertree_portfolio_member_improvements_total counter",
 		"# TYPE hypertree_portfolio_member_node_share gauge",
