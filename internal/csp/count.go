@@ -21,7 +21,7 @@ func CountFromTD(c *CSP, td *decomp.TreeDecomposition) int {
 	placed := PlaceConstraints(c, td.Bags)
 	tables := make([]*Table, len(td.Bags))
 	for i, bag := range td.Bags {
-		tables[i] = enumerateBag(c, bag, placed[i])
+		tables[i] = mustTable(c.BagTable(bag, placed[i], nil))
 	}
 
 	children := td.Children()

@@ -147,7 +147,7 @@ func CompileBudget(c *csp.CSP, td *decomp.TreeDecomposition, bu *budget.B) (*Pla
 	placed := csp.PlaceConstraints(c, td.Bags)
 	tables := make([]*csp.Table, len(td.Bags))
 	for i, bag := range td.Bags {
-		t, err := c.BagTableBudget(bag, placed[i], bu)
+		t, err := c.BagTable(bag, placed[i], bu)
 		if err != nil {
 			return nil, err
 		}
@@ -188,7 +188,7 @@ func CompileGHDBudget(c *csp.CSP, g *decomp.GHD, bu *budget.B) (*Plan, error) {
 			if t == nil {
 				t = et
 			} else {
-				joined, err := csp.JoinBudget(t, et, bu)
+				joined, err := csp.Join(t, et, bu)
 				if err != nil {
 					return nil, err
 				}
@@ -198,7 +198,7 @@ func CompileGHDBudget(c *csp.CSP, g *decomp.GHD, bu *budget.B) (*Plan, error) {
 		if t == nil {
 			t = &csp.Table{}
 		}
-		proj, err := csp.ProjectBudget(t, bag, bu)
+		proj, err := csp.Project(t, bag, bu)
 		if err != nil {
 			return nil, err
 		}

@@ -20,20 +20,15 @@ func EnumerateFromTD(c *CSP, td *decomp.TreeDecomposition, limit int) [][]Value 
 	placed := PlaceConstraints(c, td.Bags)
 	tables := make([]*Table, len(td.Bags))
 	for i, bag := range td.Bags {
-		tables[i] = enumerateBag(c, bag, placed[i])
+		tables[i] = mustTable(c.BagTable(bag, placed[i], nil))
 		if len(bag) > 0 && len(tables[i].Rows) == 0 {
 			return nil
 		}
 	}
 	order := topDownOrder(td.Parent, td.Root)
 	// Bottom-up semijoins establish directional consistency.
-	for i := len(order) - 1; i >= 1; i-- {
-		node := order[i]
-		p := td.Parent[node]
-		tables[p] = Semijoin(tables[p], tables[node])
-		if len(tables[p].Vars) > 0 && len(tables[p].Rows) == 0 {
-			return nil
-		}
+	if !semijoinUp(tables, td.Parent, order) {
+		return nil
 	}
 
 	var out [][]Value

@@ -1,6 +1,11 @@
 package csp
 
-import "sort"
+import (
+	"fmt"
+	"sort"
+
+	"hypertree/internal/budget"
+)
 
 // Table is a relation with named columns: Vars lists the variable index of
 // each column, Rows the tuples. The relational operators below are the ones
@@ -10,6 +15,16 @@ import "sort"
 // the original string keys; the string-keyed implementations are kept in
 // relation_ref.go as differential-test references. All operators preserve
 // input row order, so the two implementations produce identical tables.
+//
+// Join, Project and (*CSP).BagTable are the table materializers, and the
+// one set both the reference solvers and the compiled query engine
+// (internal/csp/engine) build from. Each ticks a budget.B once per unit of
+// work — an enumeration step, a probed or emitted row — because
+// materializing a bag walks |domain|^|bag| candidates and a join can
+// multiply its inputs, so an adversarial instance makes the work doubly
+// exponential in its size. When any limit trips the table is abandoned
+// with a typed *InterruptedError. A nil budget never trips: the reference
+// solvers pass nil, and an error there is a bug (see mustTable).
 type Table struct {
 	Vars []int
 	Rows [][]Value
@@ -112,8 +127,37 @@ func (ix *rowIndex) contains(probe []Value, probeCols []int) bool {
 	return found
 }
 
-// Join computes the natural join a ⋈ b.
-func Join(a, b *Table) *Table {
+// InterruptedError is the typed error a materializer returns when its
+// budget trips mid-table: the work is abandoned (no partial table escapes)
+// and Reason says which limit ended it — deadline, node budget, or context
+// cancellation.
+type InterruptedError struct {
+	Reason budget.StopReason
+}
+
+func (e *InterruptedError) Error() string {
+	return fmt.Sprintf("csp: table materialization interrupted (%s)", e.Reason)
+}
+
+// Interrupted wraps bu's latched stop reason. Call it only after a Tick or
+// Check returned false, so the reason is already set.
+func Interrupted(bu *budget.B) error {
+	return &InterruptedError{Reason: bu.Reason()}
+}
+
+// mustTable unwraps a materializer run under a nil budget, which never
+// trips: an error there is a bug.
+func mustTable(t *Table, err error) *Table {
+	if err != nil {
+		panic(fmt.Sprintf("csp: unbudgeted materializer failed: %v", err))
+	}
+	return t
+}
+
+// Join computes the natural join a ⋈ b, ticking bu once per probing row of
+// a and once per emitted row, which bounds both the scan and the (possibly
+// multiplicative) output.
+func Join(a, b *Table, bu *budget.B) (*Table, error) {
 	ai, bi := sharedColumns(a, b)
 	// Output columns: all of a, then b's non-shared.
 	sharedB := make(map[int]bool, len(bi))
@@ -131,7 +175,15 @@ func Join(a, b *Table) *Table {
 	ix := newRowIndex(b.Rows, bi)
 	out := &Table{Vars: outVars}
 	for _, ra := range a.Rows {
+		if !bu.Tick() {
+			return nil, Interrupted(bu)
+		}
+		stop := false
 		ix.probe(ra, ai, func(ri int32) bool {
+			if !bu.Tick() {
+				stop = true
+				return false
+			}
 			rb := b.Rows[ri]
 			row := make([]Value, 0, len(outVars))
 			row = append(row, ra...)
@@ -141,8 +193,11 @@ func Join(a, b *Table) *Table {
 			out.Rows = append(out.Rows, row)
 			return true
 		})
+		if stop {
+			return nil, Interrupted(bu)
+		}
 	}
-	return out
+	return out, nil
 }
 
 // Semijoin computes a ⋉ b: the rows of a that join with at least one row of
@@ -169,9 +224,10 @@ func Semijoin(a, b *Table) *Table {
 	return out
 }
 
-// Project computes π_vars(a), deduplicating rows. Variables not present in
-// a are ignored.
-func Project(a *Table, vars []int) *Table {
+// Project computes π_vars(a), deduplicating rows, ticking bu once per input
+// row (the output is at most input-sized). Variables not present in a are
+// ignored.
+func Project(a *Table, vars []int, bu *budget.B) (*Table, error) {
 	var cols []int
 	var outVars []int
 	pos := make(map[int]int, len(a.Vars))
@@ -192,6 +248,9 @@ func Project(a *Table, vars []int) *Table {
 	// row, so collisions cannot drop a distinct row.
 	seen := make(map[uint64][]int32)
 	for _, r := range a.Rows {
+		if !bu.Tick() {
+			return nil, Interrupted(bu)
+		}
 		h := hashRowHook(r, cols)
 		dup := false
 		for _, oi := range seen[h] {
@@ -218,7 +277,7 @@ func Project(a *Table, vars []int) *Table {
 		seen[h] = append(seen[h], int32(len(out.Rows)))
 		out.Rows = append(out.Rows, row)
 	}
-	return out
+	return out, nil
 }
 
 // TableOf materializes a constraint as a table.

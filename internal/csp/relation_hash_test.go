@@ -32,14 +32,14 @@ func TestHashOpsMatchReferenceProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		a, b := randomTable(rng), randomTable(rng)
-		if !reflect.DeepEqual(Join(a, b), joinRef(a, b)) {
+		if !reflect.DeepEqual(mustTable(Join(a, b, nil)), joinRef(a, b)) {
 			return false
 		}
 		if !reflect.DeepEqual(Semijoin(a, b), semijoinRef(a, b)) {
 			return false
 		}
 		vars := rng.Perm(5)[:1+rng.Intn(3)]
-		return reflect.DeepEqual(Project(a, vars), projectRef(a, vars))
+		return reflect.DeepEqual(mustTable(Project(a, vars, nil)), projectRef(a, vars))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -130,14 +130,14 @@ func TestHashOpsUnderForcedCollisions(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 50; i++ {
 		a, b := randomTable(rng), randomTable(rng)
-		if !reflect.DeepEqual(Join(a, b), joinRef(a, b)) {
+		if !reflect.DeepEqual(mustTable(Join(a, b, nil)), joinRef(a, b)) {
 			t.Fatalf("Join diverged under forced collisions (iter %d)", i)
 		}
 		if !reflect.DeepEqual(Semijoin(a, b), semijoinRef(a, b)) {
 			t.Fatalf("Semijoin diverged under forced collisions (iter %d)", i)
 		}
 		vars := rng.Perm(5)[:2]
-		if !reflect.DeepEqual(Project(a, vars), projectRef(a, vars)) {
+		if !reflect.DeepEqual(mustTable(Project(a, vars, nil)), projectRef(a, vars)) {
 			t.Fatalf("Project diverged under forced collisions (iter %d)", i)
 		}
 	}

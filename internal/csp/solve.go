@@ -3,6 +3,7 @@ package csp
 import (
 	"fmt"
 
+	"hypertree/internal/budget"
 	"hypertree/internal/decomp"
 	"hypertree/internal/hypergraph"
 )
@@ -14,43 +15,14 @@ import (
 //
 // jt must be a join tree of c.Hypergraph() (one node per constraint).
 func SolveAcyclic(c *CSP, jt *hypergraph.JoinTree) []Value {
-	m := len(c.Constraints)
-	if m == 0 {
+	if len(c.Constraints) == 0 {
 		return freeAssignment(c, nil, nil)
 	}
-	tables := make([]*Table, m)
+	tables := make([]*Table, len(c.Constraints))
 	for i := range tables {
 		tables[i] = domainTable(c, &c.Constraints[i])
 	}
-	order := topDownOrder(jt.Parent, jt.Root)
-	// Bottom-up phase: semijoin each parent with its child.
-	for i := len(order) - 1; i >= 1; i-- {
-		node := order[i]
-		parent := jt.Parent[node]
-		tables[parent] = Semijoin(tables[parent], tables[node])
-		if len(tables[parent].Rows) == 0 {
-			return nil
-		}
-	}
-	if len(tables[jt.Root].Rows) == 0 {
-		return nil
-	}
-	// Top-down phase: select consistent tuples.
-	assignment := make([]Value, c.NumVars)
-	assigned := make([]bool, c.NumVars)
-	for _, node := range order {
-		rows := selectConsistent(tables[node], assignment, assigned)
-		if len(rows) == 0 {
-			// Cannot happen on a valid join tree after the bottom-up phase.
-			panic(fmt.Sprintf("csp: top-down selection failed at node %d", node))
-		}
-		row := rows[0]
-		for i, v := range tables[node].Vars {
-			assignment[v] = row[i]
-			assigned[v] = true
-		}
-	}
-	return freeAssignment(c, assignment, assigned)
+	return acyclicOnTables(c, tables, jt.Parent, jt.Root)
 }
 
 // PlaceConstraints assigns each constraint to the first node (in node order)
@@ -75,9 +47,50 @@ func PlaceConstraints(c *CSP, bags [][]int) [][]int {
 
 // BagTable enumerates all assignments of the bag consistent with the given
 // constraints (whose scopes lie inside the bag) — the node subproblem of
-// join-tree clustering, exposed for the compiled query engine.
-func (c *CSP) BagTable(bag []int, constraints []int) *Table {
-	return enumerateBag(c, bag, constraints)
+// join-tree clustering. It ticks bu once per candidate value placed while
+// walking the assignment tree, so even a bag whose |domain|^|bag| space
+// dwarfs its output is abandoned promptly when the budget trips.
+func (c *CSP) BagTable(bag []int, constraints []int, bu *budget.B) (*Table, error) {
+	t := &Table{Vars: append([]int(nil), bag...)}
+	row := make([]Value, len(bag))
+	pos := make(map[int]int, len(bag))
+	for i, v := range bag {
+		pos[v] = i
+	}
+	stop := false
+	var rec func(i int)
+	rec = func(i int) {
+		if i == len(bag) {
+			for _, ci := range constraints {
+				con := &c.Constraints[ci]
+				vals := make([]Value, len(con.Scope))
+				for k, v := range con.Scope {
+					vals[k] = row[pos[v]]
+				}
+				if !con.Allows(vals) {
+					return
+				}
+			}
+			t.Rows = append(t.Rows, append([]Value(nil), row...))
+			return
+		}
+		for _, v := range c.Domains[bag[i]] {
+			if !bu.Tick() {
+				stop = true
+				return
+			}
+			row[i] = v
+			rec(i + 1)
+			if stop {
+				return
+			}
+		}
+	}
+	rec(0)
+	if stop {
+		return nil, Interrupted(bu)
+	}
+	return t, nil
 }
 
 // TopDownOrder returns the tree nodes so that every node precedes its
@@ -103,7 +116,7 @@ func SolveFromTD(c *CSP, td *decomp.TreeDecomposition) []Value {
 	// constraints placed there.
 	tables := make([]*Table, len(td.Bags))
 	for i, bag := range td.Bags {
-		tables[i] = enumerateBag(c, bag, placed[i])
+		tables[i] = mustTable(c.BagTable(bag, placed[i], nil))
 		if len(bag) > 0 && len(tables[i].Rows) == 0 {
 			return nil
 		}
@@ -139,13 +152,13 @@ func SolveFromGHD(c *CSP, g *decomp.GHD) []Value {
 			if t == nil {
 				t = et
 			} else {
-				t = Join(t, et)
+				t = mustTable(Join(t, et, nil))
 			}
 		}
 		if t == nil {
 			t = &Table{}
 		}
-		tables[i] = Project(t, bag)
+		tables[i] = mustTable(Project(t, bag, nil))
 		if len(bag) > 0 && len(tables[i].Rows) == 0 {
 			return nil
 		}
@@ -154,17 +167,13 @@ func SolveFromGHD(c *CSP, g *decomp.GHD) []Value {
 }
 
 // acyclicOnTables runs the two phases of Acyclic Solving over per-node
-// tables arranged in the given rooted tree.
+// tables arranged in the given rooted tree; nil means unsatisfiable.
 func acyclicOnTables(c *CSP, tables []*Table, parent []int, root int) []Value {
 	order := topDownOrder(parent, root)
-	for i := len(order) - 1; i >= 1; i-- {
-		node := order[i]
-		p := parent[node]
-		tables[p] = Semijoin(tables[p], tables[node])
-		if len(tables[p].Vars) > 0 && len(tables[p].Rows) == 0 {
-			return nil
-		}
+	if !semijoinUp(tables, parent, order) {
+		return nil
 	}
+	// Top-down phase: select consistent tuples.
 	assignment := make([]Value, c.NumVars)
 	assigned := make([]bool, c.NumVars)
 	for _, node := range order {
@@ -173,6 +182,7 @@ func acyclicOnTables(c *CSP, tables []*Table, parent []int, root int) []Value {
 		}
 		rows := selectConsistent(tables[node], assignment, assigned)
 		if len(rows) == 0 {
+			// Cannot happen on a valid join tree after the bottom-up phase.
 			panic(fmt.Sprintf("csp: top-down selection failed at node %d", node))
 		}
 		row := rows[0]
@@ -184,38 +194,20 @@ func acyclicOnTables(c *CSP, tables []*Table, parent []int, root int) []Value {
 	return freeAssignment(c, assignment, assigned)
 }
 
-// enumerateBag returns all assignments of the bag variables consistent with
-// the given constraints (whose scopes lie inside the bag).
-func enumerateBag(c *CSP, bag []int, constraints []int) *Table {
-	t := &Table{Vars: append([]int(nil), bag...)}
-	row := make([]Value, len(bag))
-	pos := make(map[int]int, len(bag))
-	for i, v := range bag {
-		pos[v] = i
-	}
-	var rec func(i int)
-	rec = func(i int) {
-		if i == len(bag) {
-			for _, ci := range constraints {
-				con := &c.Constraints[ci]
-				vals := make([]Value, len(con.Scope))
-				for k, v := range con.Scope {
-					vals[k] = row[pos[v]]
-				}
-				if !con.Allows(vals) {
-					return
-				}
-			}
-			t.Rows = append(t.Rows, append([]Value(nil), row...))
-			return
-		}
-		for _, v := range c.Domains[bag[i]] {
-			row[i] = v
-			rec(i + 1)
+// semijoinUp is the bottom-up phase of Acyclic Solving: children before
+// parents (order is top-down), each parent keeps the rows that join with
+// its child. It reports false as soon as a table is empty — an empty
+// relation, whatever its arity, admits no solution.
+func semijoinUp(tables []*Table, parent, order []int) bool {
+	for i := len(order) - 1; i >= 1; i-- {
+		node := order[i]
+		p := parent[node]
+		tables[p] = Semijoin(tables[p], tables[node])
+		if len(tables[p].Rows) == 0 {
+			return false
 		}
 	}
-	rec(0)
-	return t
+	return len(tables[order[0]].Rows) > 0
 }
 
 // topDownOrder returns the nodes so that every node precedes its children.

@@ -14,10 +14,17 @@ import (
 // slowest requests retain their full event trace for post-hoc diagnosis.
 const DefaultSlowN = 8
 
-// slowEventCap bounds the events buffered per request for the slow ring. A
-// long solve at checkpoint cadence emits a few thousand events; beyond the
-// cap we count drops instead of growing without bound.
-const slowEventCap = 4096
+// slowEventCap bounds the events buffered per request for the slow ring,
+// and slowSampleCap the periodic samples among them: checkpoint, mem_sample
+// and cover_cache events, emitted at budget cadence, make up nine tenths of
+// a long solve's stream. Events past a cap are counted as drops instead of
+// growing without bound. The separate sample cap keeps a retained run's
+// structural events — member stops, attribution, the closing spans — that
+// a single cap would drop first, and keeps a full ring to a few MB.
+const (
+	slowEventCap  = 4096
+	slowSampleCap = 512
+)
 
 // runInfo is one in-flight request in the live registry. The handler
 // goroutine writes identity once at registration; the solver goroutine
@@ -347,6 +354,7 @@ func (s *Server) handleDebugSlow(w http.ResponseWriter, r *http.Request) {
 type eventCapture struct {
 	mu      sync.Mutex
 	events  []obs.Event
+	samples int // periodic samples among events
 	dropped int
 }
 
@@ -361,13 +369,17 @@ func (c *eventCapture) recorder() obs.Recorder {
 }
 
 func (c *eventCapture) Record(e obs.Event) {
+	sample := e.Kind == obs.KindCheckpoint || e.Kind == obs.KindMemSample || e.Kind == obs.KindCoverCache
 	c.mu.Lock()
-	if len(c.events) < slowEventCap {
-		c.events = append(c.events, e)
-	} else {
+	defer c.mu.Unlock()
+	if len(c.events) >= slowEventCap || (sample && c.samples >= slowSampleCap) {
 		c.dropped++
+		return
 	}
-	c.mu.Unlock()
+	if sample {
+		c.samples++
+	}
+	c.events = append(c.events, e)
 }
 
 // take hands over the buffered events; the capture is dead afterwards.

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"slices"
 	"time"
 
 	"hypertree/internal/obs"
@@ -117,7 +118,7 @@ func (lc *lifecycle) phase(p reqPhase, d time.Duration) {
 // Called exactly once per request, before the response is written.
 func (lc *lifecycle) finish(outcome Outcome) *Timings {
 	total := time.Since(lc.start)
-	if i := outcomeIndex(outcome); i >= 0 {
+	if i := slices.Index(outcomes[:], outcome); i >= 0 {
 		lc.s.reqHist[i].Observe(total)
 	}
 	lc.emitSpan("total", total, outcome)
@@ -199,35 +200,11 @@ type accessRecord struct {
 // serialized under accessMu, and each line is a single Write call, so
 // concurrent requests never interleave bytes. Called before the response is
 // sent: a log reader that sees a client's response also sees its line.
-func (s *Server) logAccess(lc *lifecycle, status int, resp *Response, stream bool) {
+func (s *Server) logAccess(rec *accessRecord) {
 	if s.cfg.AccessLog == nil {
 		return
 	}
-	rec := accessRecord{
-		Time:      time.Now().UTC().Format(time.RFC3339Nano),
-		Req:       resp.Req,
-		Remote:    lc.remote,
-		Outcome:   resp.Outcome,
-		Status:    status,
-		Algo:      resp.Algo,
-		N:         resp.N,
-		M:         resp.M,
-		Width:     resp.Width,
-		Exact:     resp.Exact,
-		Stop:      resp.Stop,
-		Cached:    resp.Cached,
-		Stream:    stream,
-		WaitedMS:  resp.WaitedMS,
-		ElapsedMS: resp.ElapsedMS,
-		Timings:   resp.Timings,
-		Error:     resp.Error,
-	}
-	if resp.Attribution != nil {
-		rec.Winner = resp.Attribution.Winner
-	}
-	if resp.Timings != nil {
-		rec.ElapsedMS = resp.Timings.Total.Milliseconds()
-	}
+	rec.Time = time.Now().UTC().Format(time.RFC3339Nano)
 	line, err := json.Marshal(rec)
 	if err != nil {
 		return // accessRecord is a flat struct; unreachable

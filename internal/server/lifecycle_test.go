@@ -411,3 +411,23 @@ func grepLines(s, substr string) string {
 	}
 	return b.String()
 }
+
+// TestEventCaptureKeepsStructure checks the slow-ring capture drops the
+// periodic samples of a long run past their cap, counting them, but keeps
+// the structural events that follow — the part a single cap loses first.
+func TestEventCaptureKeepsStructure(t *testing.T) {
+	c := &eventCapture{}
+	for i := 0; i < 2*slowSampleCap; i++ {
+		c.Record(obs.Event{Kind: obs.KindCheckpoint})
+	}
+	c.Record(obs.Event{Kind: obs.KindStop})
+	c.Record(obs.Event{Kind: obs.KindSpan, Phase: "total"})
+	events, dropped := c.take()
+	if dropped != slowSampleCap {
+		t.Fatalf("dropped = %d, want the %d samples past the cap", dropped, slowSampleCap)
+	}
+	if len(events) != slowSampleCap+2 || events[len(events)-2].Kind != obs.KindStop || events[len(events)-1].Phase != "total" {
+		t.Fatalf("kept %d events ending %+v, want %d samples then the stop and the total span",
+			len(events), events[len(events)-1], slowSampleCap)
+	}
+}

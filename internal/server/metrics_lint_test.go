@@ -28,12 +28,13 @@ import (
 // It runs under -race via the Makefile race target, so it also doubles as a
 // concurrency check on the histogram snapshot path.
 func TestMetricsOpenMetricsLint(t *testing.T) {
-	s := New(Config{Workers: 2})
+	s := New(Config{Workers: 2, MaxCompileSteps: 100_000})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
 	// A mixed burst so every family has data: exact solves (concurrent, to
-	// exercise queueing), a cache hit, a param rejection, a degraded run.
+	// exercise queueing), a cache hit, a param rejection, a degraded run;
+	// then /query traffic (below) through the same histograms.
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
@@ -46,6 +47,14 @@ func TestMetricsOpenMetricsLint(t *testing.T) {
 	postDecompose(t, ts, "algo=bb-ghw", []byte(acyclic4HG))
 	http.Post(ts.URL+"/decompose?algo=nope", "text/plain", strings.NewReader(cycle6HG))
 	postDecompose(t, ts, "algo=bb-ghw&timeout=50ms", grid12HG(t))
+	// /query: a plan-cache miss, a hit, a rejection and a compile tripped
+	// by its step budget.
+	postQuery(t, ts, "", queryBody(`{"op": "count"}`))
+	postQuery(t, ts, "", queryBody(`{"op": "solve"}`))
+	postQuery(t, ts, "algo=nope", queryBody(`{"op": "count"}`))
+	if hr, resp := postQuery(t, ts, "algo=astar-tw", fmt.Sprintf(`{"csp": %s, "queries": [{"op": "count"}]}`, hugeBagCSPJSON())); hr.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("huge-bag /query: status %d (%s), want a tripped compile", hr.StatusCode, resp.Error)
+	}
 
 	hr, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -58,7 +67,7 @@ func TestMetricsOpenMetricsLint(t *testing.T) {
 		kind      string
 	}
 	families := map[string]*family{}
-	seenSeries := map[string]bool{}
+	seenSeries := map[string]float64{}
 	// histogram bucket tracking: series key (name + labels sans le) ->
 	// ordered bucket values; counts for the +Inf == _count check.
 	buckets := map[string][]float64{}
@@ -131,10 +140,10 @@ func TestMetricsOpenMetricsLint(t *testing.T) {
 		}
 
 		series := name + "{" + labelKey(labels) + "}"
-		if seenSeries[series] {
+		if _, dup := seenSeries[series]; dup {
 			t.Errorf("line %d: duplicate series %s", line, series)
 		}
-		seenSeries[series] = true
+		seenSeries[series] = value
 
 		if f.kind == "histogram" {
 			key := base + "{" + labelKeyExcept(labels, "le") + "}"
@@ -189,6 +198,21 @@ func TestMetricsOpenMetricsLint(t *testing.T) {
 	exactKey := `hypertree_daemon_request_seconds{outcome="exact"}`
 	if histCount[exactKey] < 5 {
 		t.Errorf("exact request histogram count = %g, want >= 5", histCount[exactKey])
+	}
+	// The /query burst reached its own families: two served requests, two
+	// rejections, one plan-cache hit and two misses (the rejected parameter
+	// never reaches the cache), two compiles, four latency observations.
+	for series, want := range map[string]float64{
+		`hypertree_query_requests_total{outcome="exact"}`:    2,
+		`hypertree_query_requests_total{outcome="rejected"}`: 2,
+		`hypertree_query_plan_cache_hits{}`:                  1,
+		`hypertree_query_plan_cache_misses{}`:                2,
+		`hypertree_query_request_latency_seconds_count{}`:    4,
+		`hypertree_query_compile_seconds_count{}`:            2,
+	} {
+		if got, ok := seenSeries[series]; !ok || got != want {
+			t.Errorf("%s = %g (present %v), want %g", series, got, ok, want)
+		}
 	}
 }
 

@@ -2,12 +2,11 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"time"
 
@@ -16,7 +15,7 @@ import (
 	"hypertree/internal/csp"
 	"hypertree/internal/csp/engine"
 	"hypertree/internal/hypergraph"
-	"hypertree/internal/obs"
+	"hypertree/internal/obs/attr"
 	"hypertree/internal/obs/hist"
 )
 
@@ -83,15 +82,6 @@ type querySpec struct {
 
 // queryOps indexes the per-op served-queries counters.
 var queryOps = [...]string{"solve", "count", "enumerate"}
-
-func queryOpIndex(op string) int {
-	for i, o := range queryOps {
-		if o == op {
-			return i
-		}
-	}
-	return -1
-}
 
 // QueryResponse is the typed envelope every /query request gets back.
 type QueryResponse struct {
@@ -165,107 +155,78 @@ type cachedPlan struct {
 	outcome Outcome
 }
 
-// handleQuery is the /query serving path.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	id := fmt.Sprintf("r%06d", s.reqSeq.Add(1))
-	w.Header().Set("X-Request-ID", id)
-	lc := s.newLifecycle(id, r.RemoteAddr)
+	s.serve(w, r, &s.queryTally, &queryJob{})
+}
 
-	s.wg.Add(1)
-	defer s.wg.Done()
-	if s.draining.Load() {
-		s.queryReject(w, lc, http.StatusServiceUnavailable, "draining: not admitting new requests", drainingRetrySeconds)
-		return
-	}
+// queryJob is the /query work: decode the envelope, compile a plan or take
+// one from the plan cache, run the batch.
+type queryJob struct {
+	env   queryEnvelope
+	key   string
+	entry *cachedPlan // the plan-cache hit, until run compiles on a miss
+}
 
-	p, err := s.parseParams(r)
-	if err != nil {
-		s.queryReject(w, lc, http.StatusBadRequest, err.Error(), 0)
-		return
-	}
-	lc.algo = string(p.algo)
+func (*queryJob) fail(o Outcome, req, msg string, retrySeconds int) envelope {
+	return &QueryResponse{Outcome: o, Req: req, Error: msg, RetrySeconds: retrySeconds}
+}
 
-	body, err := io.ReadAll(hypergraph.LimitReader(r.Body, s.cfg.MaxRequestBytes))
-	if err != nil {
-		var tooBig *hypergraph.PayloadTooLargeError
-		if errors.As(err, &tooBig) {
-			s.queryReject(w, lc, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("payload exceeds %d-byte limit", tooBig.Limit), 0)
-			return
-		}
-		s.queryReject(w, lc, http.StatusBadRequest, fmt.Sprintf("reading body: %v", err), 0)
-		return
+// prepare decodes the envelope and looks its plan up. Unlike a /decompose
+// result-cache hit, a plan-cache hit still runs its batch inside a worker
+// slot: query CPU stays pool-bounded exactly like solver CPU.
+func (j *queryJob) prepare(rq *request, body []byte) *reply {
+	// These knobs shape /decompose answers; /query would silently ignore
+	// them, so a client asking for them learns it here.
+	switch {
+	case rq.p.stream:
+		return rq.reject(http.StatusBadRequest, "stream applies to /decompose only", 0)
+	case rq.p.tree:
+		return rq.reject(http.StatusBadRequest, "include applies to /decompose only", 0)
+	case rq.p.format != "":
+		return rq.reject(http.StatusBadRequest, "format applies to /decompose only", 0)
 	}
-	var env queryEnvelope
-	if err := json.Unmarshal(body, &env); err != nil {
-		s.queryReject(w, lc, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err), 0)
-		return
+	if err := json.Unmarshal(body, &j.env); err != nil {
+		return rq.reject(http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err), 0)
 	}
-	if len(env.CSP) == 0 {
-		s.queryReject(w, lc, http.StatusBadRequest, "missing csp", 0)
-		return
+	if len(j.env.CSP) == 0 {
+		return rq.reject(http.StatusBadRequest, "missing csp", 0)
 	}
-	if len(env.Queries) > MaxQueriesPerRequest {
-		s.queryReject(w, lc, http.StatusBadRequest,
-			fmt.Sprintf("%d queries exceed the %d-per-request cap", len(env.Queries), MaxQueriesPerRequest), 0)
-		return
+	if len(j.env.Queries) > MaxQueriesPerRequest {
+		return rq.reject(http.StatusBadRequest,
+			fmt.Sprintf("%d queries exceed the %d-per-request cap", len(j.env.Queries), MaxQueriesPerRequest), 0)
 	}
 
-	// Plan-cache lookup before admission-heavy work: the key covers the raw
-	// CSP bytes, the algorithm, the seed and the budget knobs — everything
-	// that determines the compiled plan (heuristic decompositions depend on
-	// their budgets), and nothing (the queries) that doesn't.
-	key := planKey(env.CSP, p.algo, p.seed, p.timeout, p.nodes, p.workers)
+	// The key covers the raw CSP bytes, the algorithm, the seed and the
+	// budget knobs — everything that determines the compiled plan
+	// (heuristic decompositions depend on their budgets), and nothing (the
+	// queries) that doesn't.
+	p := rq.p
+	j.key = planKey(j.env.CSP, p.algo, p.seed, p.timeout, p.nodes, p.workers)
 	cstart := time.Now()
-	entry, hit := s.plans.lookup(key)
-	lc.phase(phaseCache, time.Since(cstart))
+	j.entry, _ = rq.s.plans.lookup(j.key)
+	rq.lc.phase(phaseCache, time.Since(cstart))
+	return nil
+}
 
-	// Even a plan-cache hit runs its batch inside a worker slot: query CPU
-	// stays pool-bounded exactly like solver CPU.
-	if s.pending.Add(1) > int64(s.cfg.Workers+s.cfg.QueueDepth) {
-		s.pending.Add(-1)
-		s.queryReject(w, lc, http.StatusTooManyRequests, "saturated: worker pool and queue full", saturatedRetrySeconds)
-		return
-	}
-	defer s.pending.Add(-1)
-
-	ri := &runInfo{id: id, algo: string(p.algo), start: time.Now()}
-	s.registry.add(ri)
-	defer s.registry.remove(id)
-
-	qstart := time.Now()
-	select {
-	case s.sem <- struct{}{}:
-	case <-r.Context().Done():
-		lc.phase(phaseQueueWait, time.Since(qstart))
-		s.queryReject(w, lc, statusClientClosedRequest, "client canceled while queued", 0)
-		return
-	case <-s.baseCtx.Done():
-		lc.phase(phaseQueueWait, time.Since(qstart))
-		s.queryReject(w, lc, http.StatusServiceUnavailable, "draining: canceled while queued", drainingRetrySeconds)
-		return
-	}
-	defer func() { <-s.sem }()
-	wait := time.Since(qstart)
-	lc.phase(phaseQueueWait, wait)
-	ri.waitNS.Store(int64(wait))
-	ri.running.Store(true)
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
-
+func (j *queryJob) run(rq *request) *reply {
+	s := rq.s
+	hit := j.entry != nil
+	var ledger *attr.Ledger
 	if !hit {
-		entry = s.compilePlan(w, lc, ri, r, p, env.CSP)
-		if entry == nil {
-			return // compilePlan already answered
+		var failed *reply
+		j.entry, ledger, failed = j.compile(rq)
+		if failed != nil {
+			failed.ledger = ledger
+			return failed
 		}
-		if entry.outcome == OutcomeDegraded {
+		if j.entry.outcome == OutcomeDegraded {
 			// A degraded decomposition still yields a correct plan (any
 			// valid decomposition does), but its shape is budget-dependent,
 			// so it is served once and never cached — mirroring the
 			// exact-only discipline of the result cache.
 			s.plansSkipped.Add(1)
 		} else {
-			s.plans.store(key, entry)
+			s.plans.store(j.key, j.entry)
 		}
 	}
 
@@ -274,73 +235,50 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// cells is the request's remaining result budget — every materialized
 	// assignment cell across the batch draws it down, so response memory is
 	// bounded whatever the batch asks for.
+	entry := j.entry
 	qrstart := time.Now()
 	cu := entry.plan.NewCursor()
 	cells := s.cfg.MaxResultCells
-	results := make([]QueryResult, len(env.Queries))
-	for i := range env.Queries {
-		results[i] = s.runQuery(cu, entry, &env.Queries[i], &cells)
+	results := make([]QueryResult, len(j.env.Queries))
+	for i := range j.env.Queries {
+		results[i] = s.runQuery(cu, entry, &j.env.Queries[i], &cells)
 	}
-	lc.phase(phaseQuery, time.Since(qrstart))
+	rq.lc.phase(phaseQuery, time.Since(qrstart))
 
 	estart := time.Now()
 	info := entry.info
 	info.Cached = hit
 	resp := &QueryResponse{
 		Outcome:   entry.outcome,
-		Req:       id,
+		Req:       rq.id,
 		N:         entry.n,
 		M:         entry.m,
 		Plan:      &info,
 		Results:   results,
-		ElapsedMS: time.Since(lc.start).Milliseconds(),
+		ElapsedMS: time.Since(rq.lc.start).Milliseconds(),
 	}
-	lc.phase(phaseEncode, time.Since(estart))
-	resp.Timings = lc.finish(resp.Outcome)
-	resp.WaitedMS = lc.waitedMS()
-	s.queryCount(resp.Outcome)
-	s.queryHist.Observe(resp.Timings.Total)
-	s.logQueryAccess(lc, http.StatusOK, resp, len(results))
-	s.writeJSON(w, http.StatusOK, resp)
+	rq.lc.phase(phaseEncode, time.Since(estart))
+	return &reply{status: http.StatusOK, env: resp, ledger: ledger}
 }
 
-// compilePlan parses, decomposes and compiles the CSP inside the worker
-// slot. On failure it answers the request itself and returns nil.
-func (s *Server) compilePlan(w http.ResponseWriter, lc *lifecycle, ri *runInfo, r *http.Request, p reqParams, rawCSP json.RawMessage) *cachedPlan {
+// compile parses, decomposes and compiles the CSP inside the worker slot.
+// It returns the decomposition's ledger whenever a solver ran, and a
+// non-nil reply when the request fails.
+func (j *queryJob) compile(rq *request) (*cachedPlan, *attr.Ledger, *reply) {
+	s, p := rq.s, rq.p
 	pstart := time.Now()
-	c, err := parseCSP(rawCSP)
-	lc.phase(phaseParse, time.Since(pstart))
+	c, err := parseCSP(j.env.CSP)
+	rq.lc.phase(phaseParse, time.Since(pstart))
 	if err != nil {
-		s.queryReject(w, lc, http.StatusBadRequest, fmt.Sprintf("parsing csp: %v", err), 0)
-		return nil
+		return nil, nil, rq.reject(http.StatusBadRequest, fmt.Sprintf("parsing csp: %v", err), 0)
 	}
 	h := c.Hypergraph()
 
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	unhook := context.AfterFunc(s.baseCtx, cancel)
-	defer unhook()
-
-	sstart := time.Now()
-	d, derr := core.Decompose(h, core.Options{
-		Algorithm:  p.algo,
-		Ctx:        ctx,
-		Timeout:    p.timeout,
-		MaxNodes:   p.nodes,
-		CheckEvery: s.cfg.CheckEvery,
-		Seed:       p.seed,
-		Workers:    p.workers,
-		Recorder:   obs.Tee(lc.spans, ri),
-	})
-	lc.phase(phaseSolve, time.Since(sstart))
+	ctx, stop := rq.budgetCtx()
+	defer stop()
+	d, derr := rq.decompose(ctx, h, nil)
 	if derr != nil {
-		var pe *budget.PanicError
-		if errors.As(derr, &pe) {
-			s.queryError(w, lc, fmt.Sprintf("algorithm panicked (contained): %v", pe.Value))
-			return nil
-		}
-		s.queryReject(w, lc, http.StatusUnprocessableEntity, derr.Error(), 0)
-		return nil
+		return nil, nil, rq.failed(decomposeFailure(derr))
 	}
 
 	// The compile budget: the materialized-table work of turning the
@@ -357,26 +295,23 @@ func (s *Server) compilePlan(w http.ResponseWriter, lc *lifecycle, ri *runInfo, 
 	})
 	plan, err := compileDecomposition(c, h, d, cb)
 	compileDur := time.Since(kstart)
-	lc.phase(phaseCompile, compileDur)
+	rq.lc.phase(phaseCompile, compileDur)
 	s.compileHist.Observe(compileDur)
 	if err != nil {
 		var ie *csp.InterruptedError
-		if errors.As(err, &ie) {
-			switch {
-			case s.baseCtx.Err() != nil:
-				s.queryReject(w, lc, http.StatusServiceUnavailable,
-					"draining: plan compile canceled", drainingRetrySeconds)
-			case r.Context().Err() != nil:
-				s.queryReject(w, lc, statusClientClosedRequest,
-					"client canceled during plan compile", 0)
-			default:
-				s.queryReject(w, lc, http.StatusUnprocessableEntity,
-					fmt.Sprintf("plan compile exceeded its budget (%s): the instance materializes more bag-table work than this server will serve", ie.Reason), 0)
-			}
-			return nil
+		switch {
+		case !errors.As(err, &ie):
+			return nil, d.Ledger, rq.failed(OutcomeError, fmt.Sprintf("compiling plan: %v", err))
+		case s.baseCtx.Err() != nil:
+			return nil, d.Ledger, rq.reject(http.StatusServiceUnavailable,
+				"draining: plan compile canceled", drainingRetrySeconds)
+		case rq.r.Context().Err() != nil:
+			return nil, d.Ledger, rq.reject(statusClientClosedRequest,
+				"client canceled during plan compile", 0)
+		default:
+			return nil, d.Ledger, rq.reject(http.StatusUnprocessableEntity,
+				fmt.Sprintf("plan compile exceeded its budget (%s): the instance materializes more bag-table work than this server will serve", ie.Reason), 0)
 		}
-		s.queryError(w, lc, fmt.Sprintf("compiling plan: %v", err))
-		return nil
 	}
 
 	st := plan.Stats()
@@ -415,7 +350,7 @@ func (s *Server) compilePlan(w http.ResponseWriter, lc *lifecycle, ri *runInfo, 
 		m:       len(c.Constraints),
 		outcome: outcome,
 	}
-	return entry
+	return entry, d.Ledger, nil
 }
 
 // compileDecomposition picks the engine entry point for whatever the solver
@@ -443,7 +378,7 @@ func compileDecomposition(c *csp.CSP, h *hypergraph.Hypergraph, d *core.Decompos
 // going (counts and sat bits are free), the response stays bounded.
 func (s *Server) runQuery(cu *engine.Cursor, entry *cachedPlan, q *querySpec, cells *int) QueryResult {
 	res := QueryResult{Op: q.Op}
-	oi := queryOpIndex(q.Op)
+	oi := slices.Index(queryOps[:], q.Op)
 	if oi < 0 {
 		res.Error = fmt.Sprintf("unknown op %q (have solve, count, enumerate)", q.Op)
 		return res
@@ -589,73 +524,14 @@ func parseCSP(raw json.RawMessage) (*csp.CSP, error) {
 	return c, nil
 }
 
-// queryReject answers a /query request that will not run.
-func (s *Server) queryReject(w http.ResponseWriter, lc *lifecycle, status int, msg string, retrySeconds int) {
-	s.queryCount(OutcomeRejected)
-	resp := &QueryResponse{Outcome: OutcomeRejected, Req: lc.id, Error: msg, RetrySeconds: retrySeconds}
-	resp.Timings = lc.finish(OutcomeRejected)
-	resp.WaitedMS = lc.waitedMS()
-	s.queryHist.Observe(resp.Timings.Total)
-	if retrySeconds > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(retrySeconds))
-	}
-	s.logQueryAccess(lc, status, resp, 0)
-	s.writeJSON(w, status, resp)
-}
+func (r *QueryResponse) stamp(tm *Timings, waitedMS int64) { r.Timings, r.WaitedMS = tm, waitedMS }
 
-// queryError answers an admitted /query request that failed.
-func (s *Server) queryError(w http.ResponseWriter, lc *lifecycle, msg string) {
-	s.queryCount(OutcomeError)
-	resp := &QueryResponse{Outcome: OutcomeError, Req: lc.id, Error: msg}
-	resp.Timings = lc.finish(OutcomeError)
-	resp.WaitedMS = lc.waitedMS()
-	s.queryHist.Observe(resp.Timings.Total)
-	s.logQueryAccess(lc, http.StatusInternalServerError, resp, 0)
-	s.writeJSON(w, http.StatusInternalServerError, resp)
-}
-
-// logQueryAccess writes the access-log line for a finished /query request,
-// reusing the decompose record shape (queries ride in N/M and the timings).
-func (s *Server) logQueryAccess(lc *lifecycle, status int, resp *QueryResponse, served int) {
-	if s.cfg.AccessLog == nil {
-		return
+func (r *QueryResponse) summary() accessRecord {
+	rec := accessRecord{Outcome: r.Outcome, N: r.N, M: r.M, Error: r.Error}
+	if r.Plan != nil {
+		rec.Width, rec.Exact, rec.Cached = r.Plan.Width, r.Plan.Exact, r.Plan.Cached
 	}
-	rec := accessRecord{
-		Time:      time.Now().UTC().Format(time.RFC3339Nano),
-		Req:       resp.Req,
-		Remote:    lc.remote,
-		Outcome:   resp.Outcome,
-		Status:    status,
-		Algo:      lc.algo,
-		N:         resp.N,
-		M:         resp.M,
-		WaitedMS:  resp.WaitedMS,
-		ElapsedMS: resp.ElapsedMS,
-		Timings:   resp.Timings,
-		Error:     resp.Error,
-	}
-	if resp.Plan != nil {
-		rec.Width = resp.Plan.Width
-		rec.Exact = resp.Plan.Exact
-		rec.Cached = resp.Plan.Cached
-	}
-	if resp.Timings != nil {
-		rec.ElapsedMS = resp.Timings.Total.Milliseconds()
-	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return
-	}
-	line = append(line, '\n')
-	s.accessMu.Lock()
-	defer s.accessMu.Unlock()
-	_, _ = s.cfg.AccessLog.Write(line)
-}
-
-func (s *Server) queryCount(o Outcome) {
-	if i := outcomeIndex(o); i >= 0 {
-		s.queryOutcome[i].Add(1)
-	}
+	return rec
 }
 
 // writeQueryMetrics renders the hypertree_query_* families on /metrics:
@@ -664,7 +540,7 @@ func (s *Server) queryCount(o Outcome) {
 func (s *Server) writeQueryMetrics(b *bytes.Buffer) {
 	fmt.Fprintf(b, "# HELP hypertree_query_requests_total /query responses sent, by typed outcome.\n# TYPE hypertree_query_requests_total counter\n")
 	for i, o := range outcomes {
-		fmt.Fprintf(b, "hypertree_query_requests_total{outcome=%q} %d\n", o, s.queryOutcome[i].Load())
+		fmt.Fprintf(b, "hypertree_query_requests_total{outcome=%q} %d\n", o, s.queryTally.outcomes[i].Load())
 	}
 	fmt.Fprintf(b, "# HELP hypertree_query_queries_total Individual queries served against compiled plans, by operation.\n# TYPE hypertree_query_queries_total counter\n")
 	for i, op := range queryOps {
@@ -678,7 +554,7 @@ func (s *Server) writeQueryMetrics(b *bytes.Buffer) {
 	fmt.Fprintf(b, "# HELP hypertree_query_plans_uncached_total Degraded-decomposition plans served once and not cached.\n# TYPE hypertree_query_plans_uncached_total counter\nhypertree_query_plans_uncached_total %d\n", s.plansSkipped.Load())
 	_ = hist.WriteSummaryFamily(b, "hypertree_query_request_latency_seconds",
 		"End-to-end /query request latency quantiles.", latencyQuantiles,
-		hist.Series{Snap: s.queryHist.Snapshot()})
+		hist.Series{Snap: s.queryTally.latency.Snapshot()})
 	_ = hist.WriteSummaryFamily(b, "hypertree_query_compile_seconds",
 		"Plan compile latency quantiles (bag materialization, Yannakakis reduction, index build).", latencyQuantiles,
 		hist.Series{Snap: s.compileHist.Snapshot()})

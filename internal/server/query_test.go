@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 // pathCSPJSON is a 3-variable boolean not-equal path (x0 != x1, x1 != x2):
@@ -198,19 +199,25 @@ func TestQueryRejections(t *testing.T) {
 
 	cases := []struct {
 		name   string
+		query  string
 		body   string
 		status int
 	}{
-		{"not json", "not json", http.StatusBadRequest},
-		{"missing csp", `{"queries": []}`, http.StatusBadRequest},
-		{"zero vars", `{"csp": {"num_vars": 0, "constraints": [{"scope":[0],"tuples":[[0]]}]}}`, http.StatusBadRequest},
-		{"no constraints", `{"csp": {"num_vars": 1, "domain": [0], "constraints": []}}`, http.StatusBadRequest},
-		{"scope out of range", `{"csp": {"num_vars": 1, "domain": [0], "constraints": [{"scope":[3],"tuples":[[0]]}]}}`, http.StatusBadRequest},
-		{"arity mismatch", `{"csp": {"num_vars": 2, "domain": [0], "constraints": [{"scope":[0,1],"tuples":[[0]]}]}}`, http.StatusBadRequest},
+		{"not json", "", "not json", http.StatusBadRequest},
+		{"missing csp", "", `{"queries": []}`, http.StatusBadRequest},
+		{"zero vars", "", `{"csp": {"num_vars": 0, "constraints": [{"scope":[0],"tuples":[[0]]}]}}`, http.StatusBadRequest},
+		{"no constraints", "", `{"csp": {"num_vars": 1, "domain": [0], "constraints": []}}`, http.StatusBadRequest},
+		{"scope out of range", "", `{"csp": {"num_vars": 1, "domain": [0], "constraints": [{"scope":[3],"tuples":[[0]]}]}}`, http.StatusBadRequest},
+		{"arity mismatch", "", `{"csp": {"num_vars": 2, "domain": [0], "constraints": [{"scope":[0,1],"tuples":[[0]]}]}}`, http.StatusBadRequest},
+		// Knobs only /decompose honours: /query must refuse them rather
+		// than silently answer plain JSON.
+		{"stream sse", "stream=sse", queryBody(`{"op": "count"}`), http.StatusBadRequest},
+		{"include tree", "include=tree", queryBody(`{"op": "count"}`), http.StatusBadRequest},
+		{"format", "format=hg", queryBody(`{"op": "count"}`), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			hr, resp := postQuery(t, ts, "", tc.body)
+			hr, resp := postQuery(t, ts, tc.query, tc.body)
 			if hr.StatusCode != tc.status {
 				t.Fatalf("status = %d, want %d", hr.StatusCode, tc.status)
 			}
@@ -281,5 +288,110 @@ func TestQueryDrainingRejects(t *testing.T) {
 	}
 	if resp.RetrySeconds <= 0 {
 		t.Fatalf("retry_after_s = %d, want positive", resp.RetrySeconds)
+	}
+}
+
+// TestQuerySlowCompileRetained pins that /query shares the finish path of
+// /decompose: a slow plan compile is retained in /debug/slow with its event
+// trace, and is still there in the drain dump.
+func TestQuerySlowCompileRetained(t *testing.T) {
+	s := New(Config{SlowN: 2, MaxCompileSteps: 2_000_000, CheckEvery: 16})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	postDecompose(t, ts, "algo=greedy", []byte(acyclic4HG))
+	postDecompose(t, ts, "algo=greedy", []byte(cycle6HG))
+	body := fmt.Sprintf(`{"csp": %s, "queries": [{"op": "count"}]}`, hugeBagCSPJSON())
+	hr, slow := postQuery(t, ts, "algo=astar-tw", body)
+	if hr.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("status = %d, want the 422 of a compile past its budget (error: %s)", hr.StatusCode, slow.Error)
+	}
+
+	sr, err := http.Get(ts.URL + "/debug/slow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sr.Body.Close()
+	var page struct {
+		Runs []*SlowRun `json:"runs"`
+	}
+	if err := json.NewDecoder(sr.Body).Decode(&page); err != nil {
+		t.Fatal(err)
+	}
+	if len(page.Runs) == 0 || page.Runs[0].Req != slow.Req {
+		t.Fatalf("slowest retained run is not the /query compile %s: %+v", slow.Req, page.Runs)
+	}
+	top := page.Runs[0]
+	if top.Timings == nil || top.Timings.Compile <= 0 || len(top.Events) == 0 {
+		t.Fatalf("retained /query run lacks its compile timing or events: %+v", top)
+	}
+	if top.Algo != "astar-tw" || top.Outcome != OutcomeRejected {
+		t.Fatalf("retained run algo/outcome = %s/%s, want astar-tw/rejected", top.Algo, top.Outcome)
+	}
+
+	s.Drain(time.Second)
+	if dump := s.SlowRuns(); len(dump) == 0 || dump[0].Req != slow.Req {
+		t.Fatalf("drain dump lost the slow /query compile %s", slow.Req)
+	}
+}
+
+// triangleCSPJSON is 3-colouring a triangle: a cyclic constraint
+// hypergraph, so the portfolio runs its race instead of the acyclic fast
+// path.
+const triangleCSPJSON = `{
+	"num_vars": 3,
+	"domain": [0, 1, 2],
+	"constraints": [
+		{"scope": [0, 1], "tuples": [[0,1],[0,2],[1,0],[1,2],[2,0],[2,1]]},
+		{"scope": [1, 2], "tuples": [[0,1],[0,2],[1,0],[1,2],[2,0],[2,1]]},
+		{"scope": [0, 2], "tuples": [[0,1],[0,2],[1,0],[1,2],[2,0],[2,1]]}
+	]
+}`
+
+// TestQueryFoldsPortfolioLedger checks a plan-cache miss decomposed by the
+// portfolio feeds the hypertree_portfolio_member_* families with its
+// ledger, and a plan-cache hit adds nothing — as on /decompose.
+func TestQueryFoldsPortfolioLedger(t *testing.T) {
+	s := New(Config{})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	body := fmt.Sprintf(`{"csp": %s, "queries": [{"op": "count"}]}`, triangleCSPJSON)
+	memberSums := func() (wins, nodes int64) {
+		t.Helper()
+		hr, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer hr.Body.Close()
+		text, _ := io.ReadAll(hr.Body)
+		for _, line := range strings.Split(string(text), "\n") {
+			var n int64
+			switch {
+			case strings.HasPrefix(line, "hypertree_portfolio_member_wins_total{"):
+				fmt.Sscan(line[strings.LastIndexByte(line, ' ')+1:], &n)
+				wins += n
+			case strings.HasPrefix(line, "hypertree_portfolio_member_nodes_total{"):
+				fmt.Sscan(line[strings.LastIndexByte(line, ' ')+1:], &n)
+				nodes += n
+			}
+		}
+		return wins, nodes
+	}
+
+	_, miss := postQuery(t, ts, "algo=portfolio", body)
+	if miss.Plan == nil || miss.Plan.Cached || *miss.Results[0].Count != 6 {
+		t.Fatalf("miss = %+v, want a fresh compile counting 6 colourings", miss)
+	}
+	wins, nodes := memberSums()
+	if wins != 1 {
+		t.Fatalf("after the miss: member wins %d, want the race's one winner", wins)
+	}
+	_, hit := postQuery(t, ts, "algo=portfolio", body)
+	if hit.Plan == nil || !hit.Plan.Cached {
+		t.Fatalf("second request plan = %+v, want a cache hit", hit.Plan)
+	}
+	if w, n := memberSums(); w != wins || n != nodes {
+		t.Fatalf("the hit changed the member metrics: wins %d->%d nodes %d->%d", wins, w, nodes, n)
 	}
 }

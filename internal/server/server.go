@@ -19,14 +19,15 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -279,22 +280,25 @@ type Server struct {
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
-	reqSeq       atomic.Int64
-	outcomeCount [len(outcomes)]atomic.Int64
-	streamTotal  atomic.Int64
-	counters     *obs.EventCounters
-	cache        *resultCache
+	reqSeq      atomic.Int64
+	streamTotal atomic.Int64
+	counters    *obs.EventCounters
+	cache       *resultCache
+
+	// The per-endpoint outcome counters: /decompose's feed
+	// hypertree_daemon_requests_total (with the panic barrier's answers),
+	// /query's feed hypertree_query_requests_total and its own latency
+	// summary.
+	decomposeTally tally
+	queryTally     tally
 
 	// The query-serving layer (/query): compiled plans cached by content
-	// hash, per-outcome request counters, per-op served-query counters, and
-	// latency summaries for whole query requests and plan compiles.
-	// plansSkipped counts degraded decompositions served once but never
-	// cached.
+	// hash, per-op served-query counters, and the plan-compile latency
+	// summary. plansSkipped counts degraded decompositions served once but
+	// never cached.
 	plans        *fifoCache[*cachedPlan]
-	queryOutcome [len(outcomes)]atomic.Int64
 	queryOpCount [len(queryOps)]atomic.Int64
 	plansSkipped atomic.Int64
-	queryHist    *hist.Histogram
 	compileHist  *hist.Histogram
 
 	// The latency layer: end-to-end request histograms per typed outcome,
@@ -383,7 +387,7 @@ func New(cfg Config) *Server {
 	case cfg.PlanCacheCapacity > 0:
 		s.plans = newFIFOCache[*cachedPlan](cfg.PlanCacheCapacity)
 	}
-	s.queryHist = hist.New()
+	s.queryTally.latency = hist.New()
 	s.compileHist = hist.New()
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /decompose", s.handleDecompose)
@@ -439,7 +443,9 @@ func (s *Server) handleAlgorithms(w http.ResponseWriter, _ *http.Request) {
 
 // reqParams are the per-request knobs parsed from the query string.
 type reqParams struct {
-	algo    core.Algorithm
+	algo core.Algorithm
+	// format is the /decompose payload format; empty when the request
+	// named none (/decompose then reads hg).
 	format  string
 	timeout time.Duration
 	nodes   int64
@@ -453,7 +459,6 @@ func (s *Server) parseParams(r *http.Request) (reqParams, error) {
 	q := r.URL.Query()
 	p := reqParams{
 		algo:    s.cfg.Algorithm,
-		format:  "hg",
 		timeout: s.cfg.DefaultTimeout,
 		nodes:   s.cfg.MaxNodes,
 		seed:    1,
@@ -524,194 +529,95 @@ func (s *Server) parseParams(r *http.Request) (reqParams, error) {
 	return p, nil
 }
 
-// handleDecompose is the serving path; see the package comment for the
-// discipline it implements. Every exit goes through the request's lifecycle
-// (lc): phase timings, span events, the timings block, histograms.
 func (s *Server) handleDecompose(w http.ResponseWriter, r *http.Request) {
-	id := fmt.Sprintf("r%06d", s.reqSeq.Add(1))
-	w.Header().Set("X-Request-ID", id)
-	lc := s.newLifecycle(id, r.RemoteAddr)
+	s.serve(w, r, &s.decomposeTally, &decomposeJob{})
+}
 
-	// Count the request for drain before checking the flag: a request is
-	// either rejected-by-draining or fully waited for — never silently
-	// abandoned between the two.
-	s.wg.Add(1)
-	defer s.wg.Done()
-	if s.draining.Load() {
-		s.reject(w, lc, http.StatusServiceUnavailable, "draining: not admitting new requests", drainingRetrySeconds)
-		return
-	}
+// decomposeJob is the /decompose work: parse a hypergraph payload and solve
+// it, answering retries of exact results from the result cache.
+type decomposeJob struct {
+	body   []byte
+	format string
+	key    string
+}
 
-	p, err := s.parseParams(r)
-	if err != nil {
-		s.reject(w, lc, http.StatusBadRequest, err.Error(), 0)
-		return
-	}
-	lc.algo = string(p.algo)
+func (*decomposeJob) fail(o Outcome, req, msg string, retrySeconds int) envelope {
+	return &Response{Outcome: o, Req: req, Error: msg, RetrySeconds: retrySeconds}
+}
 
-	// The body is read (capped) before admission: cheap, and the content
-	// hash can answer retries from the cache without spending a worker slot.
-	body, err := io.ReadAll(hypergraph.LimitReader(r.Body, s.cfg.MaxRequestBytes))
-	if err != nil {
-		var tooBig *hypergraph.PayloadTooLargeError
-		if errors.As(err, &tooBig) {
-			s.reject(w, lc, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("payload exceeds %d-byte limit", tooBig.Limit), 0)
-			return
-		}
-		s.reject(w, lc, http.StatusBadRequest, fmt.Sprintf("reading body: %v", err), 0)
-		return
-	}
-	key := resultKey(body, p.format, p.algo, p.seed)
+// prepare answers a cached exact result without spending a worker slot.
+func (j *decomposeJob) prepare(rq *request, body []byte) *reply {
+	j.body, j.format = body, cmp.Or(rq.p.format, "hg")
+	j.key = resultKey(body, j.format, rq.p.algo, rq.p.seed)
 	cstart := time.Now()
-	cached, hit := s.cache.lookup(key)
-	lc.phase(phaseCache, time.Since(cstart))
-	if hit && !p.stream {
-		cp := *cached
-		cp.Req = id
-		cp.Cached = true
-		if !p.tree {
-			cp.Tree = nil
-		}
-		// The hit gets its own fresh timings (the stored entry carries none):
-		// a cached 2ms answer must not report the original 2s solve. The
-		// stored ledger is stripped for the same reason — this request spent
-		// no solver work, so it has no costs to attribute.
-		cp.Attribution = nil
-		cp.Timings = lc.finish(cp.Outcome)
-		cp.WaitedMS = 0
-		s.count(cp.Outcome)
-		s.logAccess(lc, http.StatusOK, &cp, false)
-		s.writeJSON(w, http.StatusOK, &cp)
-		return
+	cached, hit := rq.s.cache.lookup(j.key)
+	rq.lc.phase(phaseCache, time.Since(cstart))
+	if !hit || rq.p.stream {
+		return nil
 	}
-
-	// Admission: pending counts everything between here and response;
-	// beyond Workers+QueueDepth the request is shed with backpressure.
-	if s.pending.Add(1) > int64(s.cfg.Workers+s.cfg.QueueDepth) {
-		s.pending.Add(-1)
-		s.reject(w, lc, http.StatusTooManyRequests, "saturated: worker pool and queue full", saturatedRetrySeconds)
-		return
+	// The hit gets its own fresh timings (the stored entry carries none): a
+	// cached 2ms answer must not report the original 2s solve. Nor does it
+	// carry a ledger — this request spent no solver work.
+	cp := *cached
+	cp.Req = rq.id
+	cp.Cached = true
+	if !rq.p.tree {
+		cp.Tree = nil
 	}
-	defer s.pending.Add(-1)
+	return &reply{status: http.StatusOK, env: &cp}
+}
 
-	// Admitted: visible in /debug/runs from here (state "queued") until the
-	// response is built.
-	ri := &runInfo{id: id, algo: string(p.algo), start: time.Now()}
-	s.registry.add(ri)
-	defer s.registry.remove(id)
-
-	qstart := time.Now()
-	select {
-	case s.sem <- struct{}{}:
-	case <-r.Context().Done():
-		lc.phase(phaseQueueWait, time.Since(qstart))
-		s.reject(w, lc, statusClientClosedRequest, "client canceled while queued", 0)
-		return
-	case <-s.baseCtx.Done():
-		lc.phase(phaseQueueWait, time.Since(qstart))
-		s.reject(w, lc, http.StatusServiceUnavailable, "draining: canceled while queued", drainingRetrySeconds)
-		return
-	}
-	defer func() { <-s.sem }()
-	wait := time.Since(qstart)
-	lc.phase(phaseQueueWait, wait)
-	ri.waitNS.Store(int64(wait))
-	ri.running.Store(true)
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
-
-	faultinject.Hit(faultinject.SiteServerHandle)
-
+func (j *decomposeJob) run(rq *request) *reply {
+	p := rq.p
 	// Parse inside the worker slot: parser CPU is bounded by the pool, so a
 	// storm of slow parses degrades into queueing + 429, never into
 	// unbounded goroutines.
 	faultinject.Hit(faultinject.SiteServerParse)
 	pstart := time.Now()
-	h, err := parsePayload(body, p.format)
-	lc.phase(phaseParse, time.Since(pstart))
+	h, err := parsePayload(j.body, j.format)
+	rq.lc.phase(phaseParse, time.Since(pstart))
 	if err != nil {
-		s.reject(w, lc, http.StatusBadRequest, fmt.Sprintf("parsing %s payload: %v", p.format, err), 0)
-		return
+		return rq.reject(http.StatusBadRequest, fmt.Sprintf("parsing %s payload: %v", j.format, err), 0)
 	}
 
-	// The run's budget: the client's clamped deadline, cut short by client
-	// disconnect or by a drain whose grace period expired.
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	unhook := context.AfterFunc(s.baseCtx, cancel)
-	defer unhook()
-
-	// The run's recorder fans out to: obs counters + request-stamped trace +
-	// slow-ring capture (all via lc.spans), the in-flight registry gauges,
-	// and — when streaming — the SSE writer.
 	var sse *sseWriter
-	rec := obs.Tee(lc.spans, ri)
+	var extra obs.Recorder
 	if p.stream {
-		sse = newSSEWriter(w, id)
-		if sse == nil {
-			s.reject(w, lc, http.StatusNotAcceptable, "response writer cannot stream (no http.Flusher)", 0)
-			return
+		if sse = newSSEWriter(rq.w); sse == nil {
+			return rq.reject(http.StatusNotAcceptable, "response writer cannot stream (no http.Flusher)", 0)
 		}
-		s.streamTotal.Add(1)
-		rec = obs.Tee(rec, sse)
+		rq.s.streamTotal.Add(1)
+		extra = sse
 	}
-
-	start := time.Now()
-	d, derr := core.Decompose(h, core.Options{
-		Algorithm:  p.algo,
-		Ctx:        ctx,
-		Timeout:    p.timeout,
-		MaxNodes:   p.nodes,
-		CheckEvery: s.cfg.CheckEvery,
-		Seed:       p.seed,
-		Workers:    p.workers,
-		Recorder:   rec,
-	})
-	solveDur := time.Since(start)
-	lc.phase(phaseSolve, solveDur)
+	ctx, stop := rq.budgetCtx()
+	defer stop()
+	d, derr := rq.decompose(ctx, h, extra)
 
 	estart := time.Now()
-	resp := s.buildResponse(id, p, h, d, derr, solveDur)
-
+	resp := buildResponse(rq.id, p, h, d, derr, rq.lc.phases[phaseSolve])
 	if resp.Outcome == OutcomeExact && derr == nil {
 		// Cache a request-agnostic copy (with the tree: a later include=tree
 		// hit wants it; misses strip it). Exact widths are deterministic for
 		// the keyed (payload, format, algo, seed), so retries are idempotent.
-		// Taken before the timings stamp below, so stored entries carry no
-		// stale per-request timings.
+		// Stored entries carry no timings and no ledger: replaying either on
+		// later hits would misreport what those requests cost.
 		cp := *resp
 		cp.Req = ""
-		cp.Cached = false
-		// The ledger accounts one run's work; replaying it on later hits
-		// would double-count costs, so stored entries carry none.
 		cp.Attribution = nil
 		if cp.Tree == nil {
 			cp.Tree = treeJSON(h, d)
 		}
-		s.cache.store(key, &cp)
+		rq.s.cache.store(j.key, &cp)
 	}
-	lc.phase(phaseEncode, time.Since(estart))
+	rq.lc.phase(phaseEncode, time.Since(estart))
+	return &reply{status: statusOf(resp.Outcome), env: resp, ledger: resp.Attribution, stream: sse}
+}
 
-	resp.Timings = lc.finish(resp.Outcome)
-	resp.WaitedMS = lc.waitedMS()
-	s.recordAttribution(resp.Attribution)
-	s.offerSlow(lc, resp)
+func (r *Response) stamp(tm *Timings, waitedMS int64) { r.Timings, r.WaitedMS = tm, waitedMS }
 
-	s.count(resp.Outcome)
-	status := http.StatusOK
-	switch resp.Outcome {
-	case OutcomeError:
-		status = http.StatusInternalServerError
-	case OutcomeRejected:
-		status = http.StatusUnprocessableEntity
-	}
-	s.logAccess(lc, status, resp, sse != nil)
-	if sse != nil {
-		sse.finish(resp)
-		return
-	}
-	s.writeJSON(w, status, resp)
+func (r *Response) summary() accessRecord {
+	return accessRecord{Outcome: r.Outcome, N: r.N, M: r.M, Width: r.Width, Exact: r.Exact,
+		Stop: r.Stop, Cached: r.Cached, Error: r.Error}
 }
 
 // Retry-After hints on backpressure rejections. A saturated pool usually
@@ -723,35 +629,12 @@ const (
 	drainingRetrySeconds  = 1
 )
 
-// offerSlow hands a finished request (with its captured event trace) to the
-// slowest-N ring.
-func (s *Server) offerSlow(lc *lifecycle, resp *Response) {
-	if s.slow == nil {
-		return
-	}
-	run := &SlowRun{
-		Req:       resp.Req,
-		Algo:      resp.Algo,
-		Outcome:   resp.Outcome,
-		Width:     resp.Width,
-		Stop:      resp.Stop,
-		Start:     lc.start,
-		QueueWait: lc.phases[phaseQueueWait],
-		Timings:   resp.Timings,
-	}
-	if resp.Timings != nil {
-		run.Elapsed = resp.Timings.Total
-	}
-	run.Events, run.DroppedEvents = lc.capture.take()
-	s.slow.offer(run)
-}
-
 // statusClientClosedRequest is nginx's conventional code for "the client went
 // away before we answered"; no stdlib constant exists.
 const statusClientClosedRequest = 499
 
 // buildResponse folds a Decompose result (or error) into the typed envelope.
-func (s *Server) buildResponse(id string, p reqParams, h *hypergraph.Hypergraph, d *core.Decomposition, derr error, elapsed time.Duration) *Response {
+func buildResponse(id string, p reqParams, h *hypergraph.Hypergraph, d *core.Decomposition, derr error, elapsed time.Duration) *Response {
 	resp := &Response{
 		Req:       id,
 		Algo:      string(p.algo),
@@ -761,17 +644,7 @@ func (s *Server) buildResponse(id string, p reqParams, h *hypergraph.Hypergraph,
 		resp.N, resp.M = h.N(), h.M()
 	}
 	if derr != nil {
-		var pe *budget.PanicError
-		if errors.As(derr, &pe) {
-			resp.Outcome = OutcomeError
-			resp.Error = fmt.Sprintf("algorithm panicked (contained): %v", pe.Value)
-			return resp
-		}
-		// Unservable instance (empty hypergraph, uncovered vertices, no
-		// decomposition within the tried widths): the request is at fault,
-		// not the server.
-		resp.Outcome = OutcomeRejected
-		resp.Error = derr.Error()
+		resp.Outcome, resp.Error = decomposeFailure(derr)
 		return resp
 	}
 	resp.Width = d.Width
@@ -801,48 +674,26 @@ func (s *Server) buildResponse(id string, p reqParams, h *hypergraph.Hypergraph,
 // treeJSON renders the decomposition for the wire: the GHD when the run
 // produced one, the tree decomposition otherwise.
 func treeJSON(h *hypergraph.Hypergraph, d *core.Decomposition) *TreeJSON {
-	name := func(vs []int) []string {
-		out := make([]string, len(vs))
-		for i, v := range vs {
-			out[i] = h.VertexName(v)
+	names := func(sets [][]int, name func(int) string) [][]string {
+		out := make([][]string, len(sets))
+		for i, set := range sets {
+			out[i] = make([]string, len(set))
+			for j, x := range set {
+				out[i][j] = name(x)
+			}
 		}
 		return out
 	}
-	if d.GHD != nil {
+	switch {
+	case d.GHD != nil:
 		g := d.GHD
-		t := &TreeJSON{
-			Bags:    make([][]string, len(g.Bags)),
-			Lambdas: make([][]string, len(g.Lambdas)),
-			Parent:  g.Parent,
-			Root:    g.Root,
-			Width:   g.Width(),
-		}
-		for i, bag := range g.Bags {
-			t.Bags[i] = name(bag)
-		}
-		for i, lam := range g.Lambdas {
-			es := make([]string, len(lam))
-			for j, e := range lam {
-				es[j] = h.EdgeName(e)
-			}
-			t.Lambdas[i] = es
-		}
-		return t
+		return &TreeJSON{Bags: names(g.Bags, h.VertexName), Lambdas: names(g.Lambdas, h.EdgeName),
+			Parent: g.Parent, Root: g.Root, Width: g.Width()}
+	case d.TD != nil:
+		td := d.TD
+		return &TreeJSON{Bags: names(td.Bags, h.VertexName), Parent: td.Parent, Root: td.Root, Width: td.Width()}
 	}
-	if d.TD == nil {
-		return nil
-	}
-	td := d.TD
-	t := &TreeJSON{
-		Bags:   make([][]string, len(td.Bags)),
-		Parent: td.Parent,
-		Root:   td.Root,
-		Width:  td.Width(),
-	}
-	for i, bag := range td.Bags {
-		t.Bags[i] = name(bag)
-	}
-	return t
+	return nil
 }
 
 // parsePayload decodes body in the named format. Graph formats lift to
@@ -871,26 +722,10 @@ func parsePayload(body []byte, format string) (*hypergraph.Hypergraph, error) {
 	}
 }
 
-// reject answers a request that will not run, with backpressure hints when
-// retrySeconds is positive. It closes the request's lifecycle, so even
-// rejections land in the latency histograms and carry a timings block.
-func (s *Server) reject(w http.ResponseWriter, lc *lifecycle, status int, msg string, retrySeconds int) {
-	s.count(OutcomeRejected)
-	resp := &Response{Outcome: OutcomeRejected, Req: lc.id, Error: msg, RetrySeconds: retrySeconds}
-	resp.Timings = lc.finish(OutcomeRejected)
-	resp.WaitedMS = lc.waitedMS()
-	s.offerSlow(lc, resp)
-	if retrySeconds > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(retrySeconds))
-	}
-	s.logAccess(lc, status, resp, false)
-	s.writeJSON(w, status, resp)
-}
-
 // respond is the panic-barrier response writer: unlike writeJSON it tolerates
 // a handler that already wrote headers (the write simply fails downstream).
 func (s *Server) respond(w http.ResponseWriter, status int, resp *Response) {
-	s.count(resp.Outcome)
+	s.decomposeTally.count(resp.Outcome)
 	s.writeJSON(w, status, resp)
 }
 
@@ -901,27 +736,11 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// outcomeIndex maps an Outcome to its slot in the counter/histogram banks
-// (-1 for unknown values).
-func outcomeIndex(o Outcome) int {
-	for i, known := range outcomes {
-		if o == known {
-			return i
-		}
-	}
-	return -1
-}
-
-func (s *Server) count(o Outcome) {
-	if i := outcomeIndex(o); i >= 0 {
-		s.outcomeCount[i].Add(1)
-	}
-}
-
-// OutcomeCount returns how many responses carried outcome o.
+// OutcomeCount returns how many /decompose responses (and panic-barrier
+// answers) carried outcome o.
 func (s *Server) OutcomeCount(o Outcome) int64 {
-	if i := outcomeIndex(o); i >= 0 {
-		return s.outcomeCount[i].Load()
+	if i := slices.Index(outcomes[:], o); i >= 0 {
+		return s.decomposeTally.outcomes[i].Load()
 	}
 	return 0
 }
@@ -986,7 +805,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		time.Since(s.started).Seconds())
 	fmt.Fprintf(&b, "# HELP hypertree_daemon_requests_total Responses sent, by typed outcome.\n# TYPE hypertree_daemon_requests_total counter\n")
 	for i, o := range outcomes {
-		fmt.Fprintf(&b, "hypertree_daemon_requests_total{outcome=%q} %d\n", o, s.outcomeCount[i].Load())
+		fmt.Fprintf(&b, "hypertree_daemon_requests_total{outcome=%q} %d\n", o, s.decomposeTally.outcomes[i].Load())
 	}
 	fmt.Fprintf(&b, "# HELP hypertree_daemon_inflight Requests currently holding a worker slot.\n# TYPE hypertree_daemon_inflight gauge\nhypertree_daemon_inflight %d\n", s.inflight.Load())
 	queued := s.pending.Load() - s.inflight.Load()

@@ -38,7 +38,7 @@ type sseWriter struct {
 // newSSEWriter starts a stream on w, or returns nil when w cannot flush.
 // The 200 header goes out immediately: an SSE response is committed before
 // the run's outcome is known, which is why the final frame carries it.
-func newSSEWriter(w http.ResponseWriter, _ string) *sseWriter {
+func newSSEWriter(w http.ResponseWriter) *sseWriter {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		return nil
@@ -98,7 +98,7 @@ func (s *sseWriter) loop() {
 // exactly once, from the request handler, after core.Decompose returned (so
 // no solver goroutine records concurrently anymore — the mutex covers
 // stragglers defensively).
-func (s *sseWriter) finish(resp *Response) {
+func (s *sseWriter) finish(resp envelope) {
 	s.mu.Lock()
 	s.closed = true
 	s.mu.Unlock()
